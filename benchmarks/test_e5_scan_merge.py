@@ -4,10 +4,12 @@ Reconstructed figure: latency of a range scan as the delta fills up,
 then after a merge folds the delta into the read-optimised main.
 
 Expected shape: scan latency grows as the (unsorted-dictionary) delta
-fills, because delta predicates evaluate per distinct value while main
-predicates are two binary searches plus a vectorised range test over
-bit-packed codes; the merge restores near-empty-delta latency. Index
-probes beat full scans for selective predicates in every state.
+fills, because a delta range predicate needs a per-code truth table (one
+numpy compare over the dictionary's values) gathered over the code
+array, while main predicates are two binary searches plus a vectorised
+range test over bit-packed codes; the merge restores near-empty-delta
+latency. Index probes beat full scans for selective predicates in every
+state.
 """
 
 from __future__ import annotations

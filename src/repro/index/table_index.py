@@ -20,8 +20,9 @@ from repro.index.delta_index import (
 from repro.index.groupkey import GroupKeyIndex
 from repro.storage.backend import Backend, NvmBackend
 from repro.storage.delta import DeltaPartition
+from repro.storage.dictionary import values_in_range
 from repro.storage.main import MainPartition
-from repro.storage.table import Table, pack_rowref
+from repro.storage.table import _DELTA_BIT, Table, pack_rowref
 from repro.storage.types import NULL_CODE
 
 
@@ -171,49 +172,31 @@ class TableIndex:
         """Packed rowrefs of candidates with ``column`` in the range.
 
         ``None`` bounds are open. On main this is one contiguous
-        positions slice (codes are dictionary-ordered); on the delta the
-        range is evaluated per distinct value (the dictionary is
-        unsorted), then each matching code's positions are collected.
-        NULLs never match a range.
+        positions slice (codes are dictionary-ordered). On the delta the
+        dictionary is unsorted: one numpy compare over its cached values
+        array (:func:`values_in_range`) picks the matching codes, and
+        only their positions are collected. NULLs never match a range.
         """
         main, delta = content if content is not None else table.content
         col = table.schema.column_index(self.column)
         self.ensure_delta_current(table.schema, delta)
-        refs: list[int] = []
 
-        main_dict = main.columns[col].dictionary
-        code_lo = 0
-        code_hi = len(main_dict)
-        if low is not None:
-            code_lo = (
-                main_dict.lower_bound(low) if include_low else main_dict.upper_bound(low)
-            )
-        if high is not None:
-            code_hi = (
-                main_dict.upper_bound(high) if include_high else main_dict.lower_bound(high)
-            )
-        refs.extend(
-            pack_rowref(False, int(p))
-            for p in self.group_key.lookup_range(code_lo, code_hi)
+        code_lo, code_hi = main.columns[col].dictionary.code_range(
+            low, high, include_low, include_high
         )
+        # A main rowref is its position (the delta bit is clear).
+        refs = self.group_key.lookup_range(code_lo, code_hi).tolist()
 
-        def in_range(value) -> bool:
-            if low is not None:
-                if value < low or (value == low and not include_low):
-                    return False
-            if high is not None:
-                if value > high or (value == high and not include_high):
-                    return False
-            return True
-
-        limit = delta.row_count
-        for code, value in enumerate(delta.dictionaries[col].values_list()):
-            if in_range(value):
-                refs.extend(
-                    pack_rowref(True, int(p))
-                    for p in self.delta_index.lookup(code)
-                    if p < limit
-                )
+        values = delta.dictionaries[col].values_array()
+        matching = np.flatnonzero(
+            values_in_range(values, low, high, include_low, include_high)
+        )
+        if matching.size:
+            positions = np.concatenate(
+                [self.delta_index.lookup(code) for code in matching.tolist()]
+            )
+            positions = positions[positions < delta.row_count]
+            refs.extend((positions | np.uint64(_DELTA_BIT)).tolist())
         return refs
 
     def probe_null(self, table: Table, content=None) -> list[int]:

@@ -286,15 +286,31 @@ class PVector:
     # ------------------------------------------------------------------
 
     def get(self, index: int):
-        """Read one element (returns a numpy scalar)."""
+        """Read one element (returns a numpy scalar).
+
+        Reads through the cached chunk view (no byte copy out of the
+        mmap) and charges exactly one element of modelled read traffic
+        per call, like a scalar load from NVM.
+        """
         if index >= self._size:
             raise IndexError(f"get({index}) beyond size {self._size}")
-        off = self._element_offset(index)
-        data = self._pool.read(off, self._itemsize)
-        return np.frombuffer(data, dtype=self._dtype)[0]
+        chunk_index, slot = divmod(index, self._chunk_cap)
+        base = self._chunk_views.get(chunk_index)
+        if base is None:
+            base = self._base_view(chunk_index)
+        self._pool.stats.bytes_read += self._itemsize
+        return base[slot]
 
     def __getitem__(self, index: int):
         return self.get(index)
+
+    def _base_view(self, chunk_index: int) -> np.ndarray:
+        """Full-capacity view of one chunk, created once and cached."""
+        base = self._pool.view(
+            self._chunks[chunk_index], self._dtype, self._chunk_cap, charge=False
+        )
+        self._chunk_views[chunk_index] = base
+        return base
 
     def _chunk_view(self, chunk_index: int, count: int) -> np.ndarray:
         """Read-only view of the first ``count`` elements of a chunk.
@@ -305,13 +321,7 @@ class PVector:
         """
         base = self._chunk_views.get(chunk_index)
         if base is None:
-            base = self._pool.view(
-                self._chunks[chunk_index],
-                self._dtype,
-                self._chunk_cap,
-                charge=False,
-            )
-            self._chunk_views[chunk_index] = base
+            base = self._base_view(chunk_index)
         charged = self._charged_elems.get(chunk_index, 0)
         if count > charged:
             self._pool.charge_read((count - charged) * self._itemsize)

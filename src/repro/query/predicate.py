@@ -4,9 +4,12 @@ Evaluation is two-phase, exploiting dictionary compression:
 
 * **main** — the dictionary is sorted, so comparisons become code-range
   tests computed with two binary searches, independent of row count.
-* **delta** — the dictionary is unsorted, so the predicate is evaluated
-  once per *distinct value* (a per-code truth table) and then gathered
-  over the code array.
+* **delta** — the dictionary is unsorted. Equality-style predicates
+  (``Eq``/``Ne``/``In``) probe the dictionary's hash lookup for their
+  literal codes and compare the code array against them. Range
+  predicates compute a per-code truth table with one numpy compare over
+  the dictionary's values array (:func:`values_in_range`), cached and
+  extended as the dictionary grows, and gather it over the code array.
 
 NULL semantics are SQL-like: comparisons never match NULL; use
 :class:`IsNull` / :class:`NotNull` explicitly.
@@ -19,6 +22,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.storage.delta import DeltaPartition
+from repro.storage.dictionary import values_in_range
 from repro.storage.main import MainPartition
 from repro.storage.schema import Schema
 from repro.storage.types import NULL_CODE
@@ -48,22 +52,49 @@ class Predicate(ABC):
 class _ColumnPredicate(Predicate):
     """Base for single-column predicates."""
 
-    #: Distinct dictionaries whose truth tables one predicate caches
-    #: (a predicate is usually scanned against one or two tables).
-    _TRUTH_CACHE_LIMIT = 8
-
     def __init__(self, column: str):
         self.column = column
-        # dictionary uid -> (dictionary length, per-code truth table).
-        # Predicates are treated as immutable after construction.
-        self._truth_cache: dict = {}
 
     def _main_codes(self, main: MainPartition, schema: Schema):
         col = schema.column_index(self.column)
         return main.columns[col], main.column_codes(col)
 
+    def eval_delta(self, delta: DeltaPartition, schema: Schema) -> np.ndarray:
+        col = schema.column_index(self.column)
+        return self._delta_mask(delta.column_codes(col), delta.dictionaries[col])
+
+    def _delta_mask(self, codes: np.ndarray, dictionary) -> np.ndarray:
+        """Row mask over delta ``codes`` encoded by ``dictionary``."""
+        raise NotImplementedError
+
+
+class _RangePredicate(_ColumnPredicate):
+    """Base for range predicates: one shared code-space evaluation.
+
+    ``low``/``high`` (``None`` = open) and their inclusivity are set by
+    the subclass; :meth:`bounds` hands them to index range probes.
+    """
+
+    #: Distinct dictionaries whose truth tables one predicate caches
+    #: (a predicate is usually scanned against one or two tables).
+    _TRUTH_CACHE_LIMIT = 8
+
+    def __init__(self, column: str, low, high, include_low, include_high):
+        super().__init__(column)
+        self.low = low
+        self.high = high
+        self.include_low = include_low
+        self.include_high = include_high
+        # dictionary uid -> (dictionary length, per-code truth table).
+        # Predicates are treated as immutable after construction.
+        self._truth_cache: dict = {}
+
+    def bounds(self) -> tuple:
+        """``(low, high, include_low, include_high)``."""
+        return self.low, self.high, self.include_low, self.include_high
+
     def _truth_table(self, dictionary) -> np.ndarray:
-        """Per-distinct-value truth table, cached per dictionary state.
+        """Per-code truth table, cached per dictionary state.
 
         Delta dictionaries are append-only, so their length is their
         generation: a table cached at the same length is reused as-is,
@@ -71,23 +102,15 @@ class _ColumnPredicate(Predicate):
         prefix is unchanged). A fresh delta (after merge) has a fresh
         uid, so stale tables can never be consulted.
         """
-        size = len(dictionary)
+        values = dictionary.values_array()
+        size = values.size
         cached = self._truth_cache.get(dictionary.uid)
         if cached is not None and cached[0] == size:
             return cached[1]
-        values = dictionary.values_list()
-        if cached is not None and cached[0] < size:
-            start, truth = cached
-            tail = np.fromiter(
-                (self._test(v) for v in values[start:]),
-                dtype=bool,
-                count=size - start,
-            )
-            truth = np.concatenate([truth, tail])
-        else:
-            truth = np.fromiter(
-                (self._test(v) for v in values), dtype=bool, count=size
-            )
+        start = cached[0] if cached is not None and cached[0] < size else 0
+        truth = values_in_range(values[start:], *self.bounds())
+        if start:
+            truth = np.concatenate([cached[1], truth])
         if (
             dictionary.uid not in self._truth_cache
             and len(self._truth_cache) >= self._TRUTH_CACHE_LIMIT
@@ -96,22 +119,17 @@ class _ColumnPredicate(Predicate):
         self._truth_cache[dictionary.uid] = (size, truth)
         return truth
 
-    def _delta_truth(self, delta: DeltaPartition, schema: Schema) -> np.ndarray:
-        """Gather a per-distinct-value truth table over delta codes."""
-        col = schema.column_index(self.column)
-        codes = delta.column_codes(col)
-        truth = self._truth_table(delta.dictionaries[col])
+    def _delta_mask(self, codes: np.ndarray, dictionary) -> np.ndarray:
+        truth = self._truth_table(dictionary)
         mask = np.zeros(codes.size, dtype=bool)
         non_null = codes != NULL_CODE
         if non_null.any():
             mask[non_null] = truth[codes[non_null]]
         return mask
 
-    def _test(self, value) -> bool:
-        raise NotImplementedError
-
-    def eval_delta(self, delta: DeltaPartition, schema: Schema) -> np.ndarray:
-        return self._delta_truth(delta, schema)
+    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
+        column, codes = self._main_codes(main, schema)
+        return _range_mask(codes, *column.dictionary.code_range(*self.bounds()))
 
 
 def _range_mask(codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -121,6 +139,26 @@ def _range_mask(codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return (codes >= np.uint32(lo)) & (codes < np.uint32(hi))
 
 
+def _delta_codes(dictionary, values) -> list[int]:
+    """Delta-dictionary codes of ``values``: one hash probe each.
+
+    A value that is not equal to itself (NaN) matches nothing, as under
+    python ``==``; the hash probe alone could find it by identity.
+    """
+    codes = (dictionary.code_of(value) for value in values if value == value)
+    return [code for code in codes if code is not None]
+
+
+def _codes_in(codes: np.ndarray, matching: list[int]) -> np.ndarray:
+    """Mask of codes in ``matching``: a single membership test over the
+    code array (instead of OR-ing one full-length mask per literal)."""
+    if not matching:
+        return np.zeros(codes.size, dtype=bool)
+    if len(matching) == 1:
+        return codes == np.uint32(matching[0])
+    return np.isin(codes, np.asarray(matching, dtype=np.uint32))
+
+
 class Eq(_ColumnPredicate):
     """``column == value``."""
 
@@ -128,15 +166,15 @@ class Eq(_ColumnPredicate):
         super().__init__(column)
         self.value = value
 
-    def _test(self, v) -> bool:
-        return v == self.value
-
     def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
         column, codes = self._main_codes(main, schema)
         code = column.dictionary.code_of(self.value)
         if code is None:
             return np.zeros(codes.size, dtype=bool)
         return codes == np.uint32(code)
+
+    def _delta_mask(self, codes: np.ndarray, dictionary) -> np.ndarray:
+        return _codes_in(codes, _delta_codes(dictionary, (self.value,)))
 
 
 class Ne(_ColumnPredicate):
@@ -146,9 +184,6 @@ class Ne(_ColumnPredicate):
         super().__init__(column)
         self.value = value
 
-    def _test(self, v) -> bool:
-        return v != self.value
-
     def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
         column, codes = self._main_codes(main, schema)
         mask = codes != np.uint32(column.null_code)
@@ -157,88 +192,50 @@ class Ne(_ColumnPredicate):
             mask &= codes != np.uint32(code)
         return mask
 
+    def _delta_mask(self, codes: np.ndarray, dictionary) -> np.ndarray:
+        mask = codes != np.uint32(NULL_CODE)
+        for code in _delta_codes(dictionary, (self.value,)):
+            mask &= codes != np.uint32(code)
+        return mask
 
-class Lt(_ColumnPredicate):
+
+class Lt(_RangePredicate):
     """``column < value``."""
 
     def __init__(self, column: str, value):
-        super().__init__(column)
+        super().__init__(column, None, value, True, False)
         self.value = value
 
-    def _test(self, v) -> bool:
-        return v < self.value
 
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        return _range_mask(codes, 0, column.dictionary.lower_bound(self.value))
-
-
-class Le(_ColumnPredicate):
+class Le(_RangePredicate):
     """``column <= value``."""
 
     def __init__(self, column: str, value):
-        super().__init__(column)
+        super().__init__(column, None, value, True, True)
         self.value = value
 
-    def _test(self, v) -> bool:
-        return v <= self.value
 
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        return _range_mask(codes, 0, column.dictionary.upper_bound(self.value))
-
-
-class Gt(_ColumnPredicate):
+class Gt(_RangePredicate):
     """``column > value``."""
 
     def __init__(self, column: str, value):
-        super().__init__(column)
+        super().__init__(column, value, None, False, True)
         self.value = value
 
-    def _test(self, v) -> bool:
-        return v > self.value
 
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        dictionary = column.dictionary
-        return _range_mask(codes, dictionary.upper_bound(self.value), len(dictionary))
-
-
-class Ge(_ColumnPredicate):
+class Ge(_RangePredicate):
     """``column >= value``."""
 
     def __init__(self, column: str, value):
-        super().__init__(column)
+        super().__init__(column, value, None, True, True)
         self.value = value
 
-    def _test(self, v) -> bool:
-        return v >= self.value
 
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        dictionary = column.dictionary
-        return _range_mask(codes, dictionary.lower_bound(self.value), len(dictionary))
-
-
-class Between(_ColumnPredicate):
+class Between(_RangePredicate):
     """``low <= column <= high``."""
 
     def __init__(self, column: str, low, high):
-        super().__init__(column)
-        self.low = low
-        self.high = high
-
-    def _test(self, v) -> bool:
-        return self.low <= v <= self.high
-
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        dictionary = column.dictionary
-        return _range_mask(
-            codes,
-            dictionary.lower_bound(self.low),
-            dictionary.upper_bound(self.high),
-        )
+        super().__init__(column, low, high, True, True)
 
 
 class In(_ColumnPredicate):
@@ -248,14 +245,8 @@ class In(_ColumnPredicate):
         super().__init__(column)
         self.values = set(values)
 
-    def _test(self, v) -> bool:
-        return v in self.values
-
     def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
         column, codes = self._main_codes(main, schema)
-        # One dictionary probe per value, then a single membership test
-        # over the code array (instead of OR-ing one full-length mask
-        # per value).
         matching = [
             code
             for code in (
@@ -263,11 +254,10 @@ class In(_ColumnPredicate):
             )
             if code is not None
         ]
-        if not matching:
-            return np.zeros(codes.size, dtype=bool)
-        if len(matching) == 1:
-            return codes == np.uint32(matching[0])
-        return np.isin(codes, np.asarray(matching, dtype=np.uint32))
+        return _codes_in(codes, matching)
+
+    def _delta_mask(self, codes: np.ndarray, dictionary) -> np.ndarray:
+        return _codes_in(codes, _delta_codes(dictionary, self.values))
 
 
 class IsNull(_ColumnPredicate):

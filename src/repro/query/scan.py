@@ -2,9 +2,9 @@
 
 A scan intersects three masks per partition: the MVCC visibility mask
 for the snapshot, the (optional) predicate mask, and the transaction's
-own-write adjustments. Equality predicates can instead probe a
-:class:`~repro.index.table_index.TableIndex` and verify visibility on
-the (hopefully small) candidate set.
+own-write adjustments. Equality, ``IS NULL`` and range predicates can
+instead probe a :class:`~repro.index.table_index.TableIndex` and verify
+visibility on the (hopefully small) candidate set.
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ def scan(
 
     Pass either ``ctx`` (transactional scan: snapshot + own writes) or a
     bare ``snapshot_cid``. When ``index`` covers the predicate column
-    and the predicate is ``Eq``/``IsNull``, the index supplies candidate
-    positions instead of a full scan.
+    and the predicate is ``Eq``, ``IsNull`` or a range (``Lt``/``Le``/
+    ``Gt``/``Ge``/``Between``), the index supplies candidate positions
+    instead of a full scan.
 
     The ``(main, delta)`` pair is captured once: an online merge may
     cut over mid-scan, and evaluating visibility, predicate, and
@@ -251,19 +252,6 @@ def _index_applicable(index, predicate: Optional[Predicate]) -> bool:
     return isinstance(predicate, supported) and predicate.column == index.column
 
 
-def _range_bounds(predicate) -> tuple:
-    """(low, high, include_low, include_high) for a range predicate."""
-    if isinstance(predicate, Between):
-        return predicate.low, predicate.high, True, True
-    if isinstance(predicate, Lt):
-        return None, predicate.value, True, False
-    if isinstance(predicate, Le):
-        return None, predicate.value, True, True
-    if isinstance(predicate, Gt):
-        return predicate.value, None, False, True
-    return predicate.value, None, True, True  # Ge
-
-
 def _index_scan(
     table: Table,
     content,
@@ -282,7 +270,7 @@ def _index_scan(
     if isinstance(predicate, Eq):
         candidates = index.probe_equal(table, predicate.value, content=content)
     elif isinstance(predicate, _RANGE_PREDICATES):
-        low, high, include_low, include_high = _range_bounds(predicate)
+        low, high, include_low, include_high = predicate.bounds()
         candidates = index.probe_range(
             table,
             low,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import threading
 from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
@@ -55,6 +56,119 @@ def hash_key(dtype: DataType, value) -> int:
         return int(np.float64(value).view(np.uint64))
     digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+#: Bound rewrites that admit every value / no value at all.
+_ALL = object()
+_NONE = object()
+
+
+def _exact_bound(dtype: np.dtype, bound, inclusive: bool, lower: bool):
+    """Rewrite a range bound so a numpy compare at ``dtype`` is exact.
+
+    numpy compares an int64 array with a float bound (and a float64
+    array with an int bound) in float64, which rounds above 2**53;
+    python compares ints and floats exactly. Returns ``(bound,
+    inclusive)``, where the bound may come back as :data:`_ALL` or
+    :data:`_NONE`.
+    """
+    if (
+        dtype != object
+        and isinstance(bound, (float, np.floating))
+        and math.isnan(bound)
+    ):
+        # Nothing compares true against NaN (numpy's binary search
+        # would place it past the end instead).
+        return _NONE, inclusive
+    if dtype == np.int64:
+        if isinstance(bound, (float, np.floating)):
+            f = float(bound)
+            if math.isinf(f):
+                return (_ALL if (f < 0) == lower else _NONE), inclusive
+            # For an integer v: v >= f <=> v >= ceil(f), v > f <=>
+            # v >= floor(f) + 1, v <= f <=> v <= floor(f), v < f <=>
+            # v <= ceil(f) - 1.
+            if lower:
+                bound = math.ceil(f) if inclusive else math.floor(f) + 1
+            else:
+                bound = math.floor(f) if inclusive else math.ceil(f) - 1
+            inclusive = True
+        if isinstance(bound, (int, np.integer)):
+            b = int(bound)
+            if b > _INT64_MAX:
+                return (_NONE if lower else _ALL), inclusive
+            if b < _INT64_MIN:
+                return (_ALL if lower else _NONE), inclusive
+            return np.int64(b), inclusive
+    elif dtype == np.float64 and isinstance(bound, (int, np.integer)):
+        b = int(bound)
+        try:
+            f = float(b)
+        except OverflowError:
+            f = math.inf if b > 0 else -math.inf
+        if f != b:
+            # No float equals ``b``, and none lies strictly between
+            # ``b`` and its nearest float ``f``: which side ``f`` rounded
+            # to decides whether the rewritten bound includes ``f``.
+            inclusive = f > b if lower else f < b
+        return np.float64(f), inclusive
+    return bound, inclusive
+
+
+def values_in_range(
+    values: np.ndarray,
+    low=None,
+    high=None,
+    include_low: bool = True,
+    include_high: bool = True,
+) -> np.ndarray:
+    """Mask of ``values`` inside ``[low, high]`` (``None`` bounds open).
+
+    ``values`` is a dictionary's :meth:`values_array` (int64, float64
+    or object). One numpy compare per bound replaces a per-value python
+    loop, with python's comparison semantics kept exact (see
+    :func:`_exact_bound`). The one implementation of range-over-
+    dictionary: index range probes and range predicates both use it.
+    """
+    mask = np.ones(values.size, dtype=bool)
+    for bound, inclusive, lower in (
+        (low, include_low, True),
+        (high, include_high, False),
+    ):
+        if bound is None:
+            continue
+        bound, inclusive = _exact_bound(values.dtype, bound, inclusive, lower)
+        if bound is _NONE:
+            return np.zeros(values.size, dtype=bool)
+        if bound is _ALL:
+            continue
+        if lower:
+            mask &= values >= bound if inclusive else values > bound
+        else:
+            mask &= values <= bound if inclusive else values < bound
+    return mask
+
+
+def _lookup_literal(dtype: DataType, value):
+    """``value`` as :func:`hash_key` takes it for a column of ``dtype``.
+
+    Returns None when no stored value can equal it (python ``==``): a
+    non-integral float on an INT64 column, or a literal of another
+    kind, or NaN. The volatile hash map gets this from python's
+    cross-type hashing; the persistent lookup hashes raw bits.
+    """
+    if dtype is DataType.STRING:
+        return value if isinstance(value, str) else None
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        cast = int(value) if dtype is DataType.INT64 else float(value)
+    except (OverflowError, ValueError):  # int(inf), int(nan), float(10**400)
+        return None
+    return cast if cast == value else None
 
 
 class UnsortedDictionary:
@@ -189,13 +303,18 @@ class UnsortedDictionary:
         return [float(v) for v in raw]
 
     def _decode_table(self) -> list:
-        """Values in code order, cached and grown incrementally."""
+        """Values in code order, cached and grown incrementally.
+
+        The tail is stored with one slice assignment, so two readers
+        growing the table at once write the same values to the same
+        slots instead of appending them twice.
+        """
         total = len(self.values)
         cached = len(self._decode_values)
         if cached < total:
-            for code in range(cached, total):
-                self._decode_values.append(self.value_of(code))
-            self._decode_arr = None
+            self._decode_values[cached:total] = [
+                self.value_of(code) for code in range(cached, total)
+            ]
         return self._decode_values
 
     def values_array(self) -> np.ndarray:
@@ -205,11 +324,12 @@ class UnsortedDictionary:
         dictionary has grown. Callers must not mutate the result.
         """
         table = self._decode_table()
-        if self._decode_arr is None:
+        arr = self._decode_arr
+        if arr is None or arr.size < len(table):
             if self.dtype is DataType.STRING:
-                self._decode_arr = np.asarray(table, dtype=object)
+                arr = np.asarray(table, dtype=object)
             else:
-                self._decode_arr = np.asarray(
+                arr = np.asarray(
                     table,
                     dtype=(
                         np.int64
@@ -217,7 +337,8 @@ class UnsortedDictionary:
                         else np.float64
                     ),
                 )
-        return self._decode_arr
+            self._decode_arr = arr
+        return arr
 
     def decode_array(self, codes: np.ndarray) -> np.ndarray:
         """Decode an array of valid (non-NULL) codes to a values array.
@@ -264,6 +385,9 @@ class UnsortedDictionary:
         """Code of ``value`` if present, else None."""
         if self.persistent_lookup is not None and self._lookup is None:
             # Restart path: answer from NVM without a rebuild.
+            value = _lookup_literal(self.dtype, value)
+            if value is None:
+                return None
             for code in self.persistent_lookup.iter_values(
                 hash_key(self.dtype, value)
             ):
@@ -478,16 +602,43 @@ class SortedDictionary:
             return pos
         return None
 
-    def lower_bound(self, value) -> int:
-        """First code whose value is >= ``value`` (== len when none)."""
+    def code_range(
+        self, low=None, high=None, include_low=True, include_high=True
+    ) -> tuple[int, int]:
+        """``[lo, hi)`` codes of the values in a range (``None`` = open).
+
+        The sorted counterpart of :func:`values_in_range`: codes
+        preserve value order, so a range is two binary searches.
+        """
+        lo, hi = 0, len(self)
+        if low is not None:
+            lo = self._bound_code(low, include_low, lower=True)
+            if self.dtype is DataType.FLOAT64:
+                # NaN sorts last and compares false against the bound.
+                hi = int(np.searchsorted(self._materialise(), np.nan))
+        if high is not None:
+            hi = min(hi, self._bound_code(high, include_high, lower=False))
+        return lo, hi
+
+    def _bound_code(self, value, inclusive: bool, lower: bool) -> int:
+        """A lower bound's first matching code, or an upper bound's
+        first code past the matches."""
         cache = self._materialise()
         if self.dtype is DataType.STRING:
-            return bisect_left(cache, value)
-        return int(np.searchsorted(cache, value, side="left"))
+            search = bisect_left if inclusive == lower else bisect_right
+            return search(cache, value)
+        bound, inclusive = _exact_bound(cache.dtype, value, inclusive, lower)
+        if bound is _ALL:
+            return 0 if lower else len(cache)
+        if bound is _NONE:
+            return len(cache) if lower else 0
+        side = "left" if inclusive == lower else "right"
+        return int(np.searchsorted(cache, bound, side=side))
+
+    def lower_bound(self, value) -> int:
+        """First code whose value is >= ``value`` (== len when none)."""
+        return self._bound_code(value, inclusive=True, lower=True)
 
     def upper_bound(self, value) -> int:
         """First code whose value is > ``value`` (== len when none)."""
-        cache = self._materialise()
-        if self.dtype is DataType.STRING:
-            return bisect_right(cache, value)
-        return int(np.searchsorted(cache, value, side="right"))
+        return self._bound_code(value, inclusive=False, lower=True)

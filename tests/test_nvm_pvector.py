@@ -161,3 +161,84 @@ class TestPersistence:
         v2 = PVector.attach(pool, pool.root_offset)
         assert int(v2.get(0)) == 99
         pool.close()
+
+
+class TestScalarGet:
+    """``get`` reads through the cached chunk views."""
+
+    DTYPES = [
+        (np.uint8, [0, 7, 200, 255]),
+        (np.uint16, [1, 60000, 3, 9]),
+        (np.uint32, [2**31, 0, 2**32 - 1, 5]),
+        (np.uint64, [2**63, 2**64 - 1, 0, 11]),
+        (np.int64, [-(2**62), 2**53 + 1, -1, 0]),
+        (np.float64, [3.25, -0.0, 1e300, 2.0**53]),
+    ]
+
+    @staticmethod
+    def _byte_copy_get(pool, v, index):
+        """The former implementation: copy the element's bytes out of
+        the pool and wrap them."""
+        off = v._element_offset(index)
+        return np.frombuffer(pool._raw_read(off, v.dtype.itemsize), dtype=v.dtype)[0]
+
+    @pytest.mark.parametrize("dtype,values", DTYPES)
+    def test_same_scalar_type_and_value_as_byte_copy(self, pool, dtype, values):
+        v = PVector.create(pool, dtype, chunk_capacity=3)
+        v.extend(np.asarray(values * 3, dtype=dtype))
+        for index in range(len(v)):
+            got = v.get(index)
+            expected = self._byte_copy_get(pool, v, index)
+            assert type(got) is type(expected)
+            assert got.dtype == np.dtype(dtype)
+            assert got.tobytes() == expected.tobytes()
+            assert v[index].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype,values", DTYPES)
+    def test_charges_itemsize_per_call(self, pool, dtype, values):
+        v = PVector.create(pool, dtype, chunk_capacity=3)
+        v.extend(np.asarray(values * 2, dtype=dtype))
+        itemsize = np.dtype(dtype).itemsize
+        # The first read of a chunk creates its view, repeats reuse it,
+        # and bulk reads in between do not change what a get costs.
+        for index in [0, 0, 4, 5, 4, 7, 0]:
+            before = pool.stats.bytes_read
+            v.get(index)
+            assert pool.stats.bytes_read - before == itemsize
+            v.to_numpy()
+
+    def test_sees_writes_after_view_was_cached(self, pool):
+        v = PVector.create(pool, np.int64, chunk_capacity=4)
+        v.extend(np.arange(3, dtype=np.int64))
+        assert int(v.get(1)) == 1  # caches chunk 0's view
+        v.set(1, -42)
+        assert int(v.get(1)) == -42
+        v.set_range(0, np.array([9, 8, 7], dtype=np.int64))
+        assert [int(v.get(i)) for i in range(3)] == [9, 8, 7]
+        v.append(100)  # same chunk, new slot
+        assert int(v.get(3)) == 100
+        v.append(101)  # new chunk
+        assert int(v.get(4)) == 101
+        with pytest.raises(IndexError):
+            v.get(5)
+
+    def test_sees_strict_crash_rollback(self, pool_dir):
+        pool = PMemPool.create(pool_dir, extent_size=2 * 1024 * 1024, mode=PMemMode.STRICT)
+        v = PVector.create(pool, np.uint64, chunk_capacity=16)
+        v.extend(np.arange(10, dtype=np.uint64))
+        pool.set_root(v.offset)
+        assert int(v.get(0)) == 0  # view cached before the stores
+        # Elements 0 and 9 sit on different cache lines; only 9's is
+        # flushed.
+        v.set(0, 99, persist=False)
+        v.set(9, 77, persist=True)
+        assert int(v.get(0)) == 99
+        pool.crash()
+        # The crash reverted the unflushed line in place, under the
+        # view the handle had cached.
+        assert int(v.get(0)) == 0
+        assert int(v.get(9)) == 77
+        pool = PMemPool.open(pool_dir, mode=PMemMode.STRICT)
+        v2 = PVector.attach(pool, pool.root_offset)
+        assert [int(v2.get(i)) for i in range(10)] == list(range(9)) + [77]
+        pool.close()
